@@ -37,24 +37,35 @@
 //   nbc-train            Naive Bayes fit: one column pass per feature into
 //                        the flattened conditional table.
 //   score-throughput     CrossFeatureModel::score_all over a discrete trace
-//                        (allocation-free predict_dist_into scoring, block-
+//                        (allocation-free predict_dist_span scoring, block-
 //                        parallel on the shared pool).
+//   feature-extract      FeatureExtractor::extract of the 141-column schema
+//                        from a synthetic ~30k-record, 2000-s audit log,
+//                        checked against brute-force window counts.
+//   discretize           Equal-frequency discretizer fit on a 500-row subset
+//                        of 2000 x 141 continuous rows, checked against the
+//                        equal-frequency bucket sizes.
 //
 // --quick shrinks the iteration counts so the run doubles as a CI
 // correctness smoke: every kernel self-checks its results with XFA_CHECK
-// (the detection kernels check determinism across fits and the bit-identity
-// of serial score() versus parallel score_all()), so a nonzero exit means a
-// real hot-path bug, not a slow machine.
+// (the detection kernels check determinism across fits, proper output
+// distributions and the bit-identity of serial score() versus parallel
+// score_all()), so a nonzero exit means a real hot-path bug, not a slow
+// machine.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cfa/model.h"
 #include "common/check.h"
+#include "features/discretize.h"
+#include "features/extract.h"
 #include "ml/c45.h"
 #include "ml/dataset_view.h"
 #include "ml/feature_select.h"
@@ -320,8 +331,7 @@ void bench_scale_sweep(bool quick) {
 }
 
 /// Synthetic discrete dataset with the detection pipeline's shape:
-/// cardinality 5, correlated in blocks of 4 columns (mirrors
-/// bench/perf_classifiers.cpp so the kernels exercise comparable trees).
+/// cardinality 5, correlated in blocks of 4 columns.
 Dataset synthetic_dataset(std::size_t rows, std::size_t columns,
                           std::uint64_t seed) {
   Dataset data;
@@ -346,15 +356,28 @@ std::vector<std::size_t> iota_columns(std::size_t n) {
   return columns;
 }
 
-/// Self-check shared by the training kernels: predict_dist_into must agree
-/// bit-for-bit with the allocating predict_dist on every training row.
-void check_predict_paths(const Classifier& classifier, const Dataset& data) {
-  std::vector<double> scratch(16);
+/// Self-check shared by the training kernels: a second fit on the same view
+/// must score every training row bit-identically to the timed fit, and every
+/// distribution must be a proper one over the label's value space.
+void check_refit(const Classifier& fitted, const Classifier& refit,
+                 const Dataset& data) {
+  XFA_CHECK_EQ(fitted.label_cardinality(), refit.label_cardinality());
+  std::vector<double> scratch(fitted.label_cardinality());
+  std::vector<double> refit_scratch(refit.label_cardinality());
   for (const std::vector<int>& row : data.rows) {
-    const std::vector<double> dist = classifier.predict_dist(row);
-    const std::size_t n = classifier.predict_dist_into(row, scratch);
-    XFA_CHECK_EQ(n, dist.size());
-    for (std::size_t v = 0; v < n; ++v) XFA_CHECK(scratch[v] == dist[v]);
+    const std::span<const double> dist =
+        fitted.predict_dist_span(row, scratch);
+    const std::span<const double> again =
+        refit.predict_dist_span(row, refit_scratch);
+    XFA_CHECK_EQ(dist.size(), fitted.label_cardinality());
+    XFA_CHECK_EQ(again.size(), dist.size());
+    double sum = 0;
+    for (std::size_t v = 0; v < dist.size(); ++v) {
+      XFA_CHECK(dist[v] == again[v]) << "refit scored differently";
+      XFA_CHECK(dist[v] > 0.0) << "smoothed probability must be positive";
+      sum += dist[v];
+    }
+    XFA_CHECK(std::abs(sum - 1.0) < 1e-9) << "distribution sums to " << sum;
   }
 }
 
@@ -366,23 +389,20 @@ void bench_c45_train(bool quick) {
   std::vector<std::size_t> features = iota_columns(40);
   features.pop_back();
 
-  std::string reference;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
     C45 tree;
     tree.fit(view, features, 39);
     XFA_CHECK_GT(tree.node_count(), 1u) << "degenerate training tree";
-    if (i == 0) reference = tree.describe({});
   }
   report("c45-train", iters * rows, seconds_since(start));
 
-  // Determinism + path equivalence: a fresh fit through the Dataset overload
-  // must produce the identical tree, and both predict paths must agree.
-  C45 tree;
-  tree.fit(data, features, 39);
-  XFA_CHECK(tree.describe({}) == reference)
-      << "Dataset-overload fit diverged from DatasetView fit";
-  check_predict_paths(tree, data);
+  // Determinism: two fresh fits must grow the identical tree.
+  C45 tree, refit;
+  tree.fit(view, features, 39);
+  refit.fit(view, features, 39);
+  XFA_CHECK(refit.describe({}) == tree.describe({})) << "C4.5 refit diverged";
+  check_refit(tree, refit, data);
 }
 
 void bench_ripper_train(bool quick) {
@@ -393,20 +413,19 @@ void bench_ripper_train(bool quick) {
   std::vector<std::size_t> features = iota_columns(40);
   features.pop_back();
 
-  std::string reference;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
     Ripper ripper;
     ripper.fit(view, features, 39);
-    if (i == 0) reference = ripper.describe({});
   }
   report("ripper-train", iters * rows, seconds_since(start));
 
-  Ripper ripper;
-  ripper.fit(data, features, 39);
-  XFA_CHECK(ripper.describe({}) == reference)
-      << "Dataset-overload fit diverged from DatasetView fit";
-  check_predict_paths(ripper, data);
+  Ripper ripper, refit;
+  ripper.fit(view, features, 39);
+  refit.fit(view, features, 39);
+  XFA_CHECK(refit.describe({}) == ripper.describe({}))
+      << "RIPPER refit diverged";
+  check_refit(ripper, refit, data);
 }
 
 void bench_nbc_train(bool quick) {
@@ -424,9 +443,10 @@ void bench_nbc_train(bool quick) {
   }
   report("nbc-train", iters * rows, seconds_since(start));
 
-  NaiveBayes nbc;
-  nbc.fit(data, features, 39);
-  check_predict_paths(nbc, data);
+  NaiveBayes nbc, refit;
+  nbc.fit(view, features, 39);
+  refit.fit(view, features, 39);
+  check_refit(nbc, refit, data);
 }
 
 void bench_featsel_rank(bool quick) {
@@ -547,6 +567,115 @@ void bench_score_throughput(bool quick) {
   }
 }
 
+void bench_feature_extract(bool quick) {
+  const std::uint64_t iters = quick ? 2 : 20;
+  const SimTime duration = 2000;
+  // A synthetic audit log of ~30k packet observations over 2000 s, kept
+  // alongside as a flat list for the brute-force check.
+  struct Record {
+    SimTime t;
+    AuditPacketType type;
+    FlowDirection dir;
+  };
+  std::vector<Record> records;
+  AuditLog audit;
+  Rng rng(7);
+  for (SimTime t = rng.exponential(0.07); t < duration;
+       t += rng.exponential(0.07)) {
+    const auto type = static_cast<AuditPacketType>(
+        rng.uniform_int(kAuditPacketTypeCount));
+    auto dir =
+        static_cast<FlowDirection>(rng.uniform_int(kFlowDirectionCount));
+    if (type == AuditPacketType::Data &&
+        (dir == FlowDirection::Forwarded || dir == FlowDirection::Dropped))
+      dir = FlowDirection::Sent;
+    audit.record_packet(t, type, dir);
+    records.push_back({t, type, dir});
+  }
+  const FeatureSchema schema = FeatureSchema::standard();
+  const FeatureExtractor extractor(schema, 5.0);
+  SampledNodeState state;
+  state.velocity.assign(extractor.sample_count(duration), 1.0);
+  state.average_route_len.assign(extractor.sample_count(duration), 2.0);
+
+  RawTrace trace;
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i)
+    trace = extractor.extract(audit, state, duration);
+  // One "op" = one audit record folded into every feature window.
+  report("feature-extract", iters * audit.total_packet_records(),
+         seconds_since(start));
+
+  // Self-check: the matrix has one full-width row per 5-s sampling instant,
+  // and on every 37th row each packet-count feature equals a brute-force count
+  // of the records of its <type, direction> in the window (t - period, t];
+  // route(all) counts every non-data record.
+  XFA_CHECK_EQ(audit.total_packet_records(), records.size());
+  XFA_CHECK_EQ(trace.size(), extractor.sample_count(duration));
+  std::size_t checked = 0;
+  for (std::size_t r = 0; r < trace.size(); r += 37) {
+    const SimTime t = trace.times[r];
+    XFA_CHECK(t == 5.0 * static_cast<double>(r + 1)) << "sample " << r;
+    XFA_CHECK_EQ(trace.rows[r].size(), schema.size());
+    std::size_t column = schema.traffic_base_column();
+    for (const TrafficFeatureSpec& spec : schema.traffic_specs()) {
+      const double value = trace.rows[r][column++];
+      if (spec.stat != TrafficStat::Count) continue;
+      std::size_t count = 0;
+      for (const Record& record : records)
+        if ((record.type == spec.type ||
+             (spec.type == AuditPacketType::RouteAll &&
+              record.type != AuditPacketType::Data)) &&
+            record.dir == spec.dir &&
+            record.t > t - spec.period && record.t <= t)
+          ++count;
+      XFA_CHECK(value == static_cast<double>(count))
+          << spec.name() << " at t=" << t << ": " << value << " vs " << count;
+      ++checked;
+    }
+  }
+  XFA_CHECK_GT(checked, 0u);
+}
+
+void bench_discretize(bool quick) {
+  const std::uint64_t iters = quick ? 2 : 20;
+  const std::size_t rows = 2000;
+  const std::size_t columns = 141;
+  Rng rng(9);
+  std::vector<std::vector<double>> data;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<double> row(columns);
+    for (double& v : row) v = rng.exponential(5.0);
+    data.push_back(std::move(row));
+  }
+
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    EqualFrequencyDiscretizer discretizer(5);
+    discretizer.fit(data, /*max_fit_rows=*/500);
+    XFA_CHECK_EQ(discretizer.columns(), columns);
+  }
+  // One "op" = one row of the table the fit subsamples from.
+  report("discretize", iters * rows, seconds_since(start));
+
+  // Self-check: fitted on every row with the gap guard off, tie-free values
+  // must land rows/5 to a bucket. Cuts sit at the rows*b/5-th order
+  // statistic and buckets are right-closed, so the first bucket holds one
+  // value more and the last one fewer.
+  EqualFrequencyDiscretizer exact(5, /*min_relative_gap=*/0.0);
+  exact.fit(data);
+  for (std::size_t c = 0; c < columns; ++c) {
+    XFA_CHECK_EQ(exact.cardinality(c), 5);
+    std::vector<std::size_t> counts(5, 0);
+    for (const std::vector<double>& row : data)
+      ++counts[static_cast<std::size_t>(exact.transform_value(c, row[c]))];
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      const std::size_t want = rows / 5 + (b == 0) - (b == 4);
+      XFA_CHECK_EQ(counts[b], want) << "column " << c << " bucket " << b;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xfa
 
@@ -577,5 +706,7 @@ int main(int argc, char** argv) {
   if (want("ripper-train")) xfa::bench_ripper_train(quick);
   if (want("nbc-train")) xfa::bench_nbc_train(quick);
   if (want("score-throughput")) xfa::bench_score_throughput(quick);
+  if (want("feature-extract")) xfa::bench_feature_extract(quick);
+  if (want("discretize")) xfa::bench_discretize(quick);
   return 0;
 }

@@ -43,6 +43,11 @@ int print_usage(const char* argv0) {
                "       [--checkpoint=DIR [--resume]] [--shard=K/N | --merge]\n"
                "       <plan>...\n"
                "       (run `%s --list` for the registered plans)\n"
+               "  --threads=N       size the shared pool to N workers; a "
+               "thread waiting on\n"
+               "                    pool work runs queued tasks too, so up "
+               "to N+1 tasks\n"
+               "                    run at once\n"
                "  --checkpoint=DIR  journal completed work units to DIR\n"
                "  --resume          replay DIR's journal and skip completed "
                "units\n"
@@ -176,7 +181,7 @@ const ExperimentPlan* find_plan(const std::string& name) {
   return nullptr;
 }
 
-int run_plan_cli(int argc, char** argv, const char* default_plan) {
+int run_plan_cli(int argc, char** argv) {
   bool list = false;
   std::size_t threads = 0;  // 0 = leave the shared pool at its default size
   bool threads_set = false;
@@ -236,10 +241,7 @@ int run_plan_cli(int argc, char** argv, const char* default_plan) {
                  "--shard and --merge are different run phases; pick one\n");
     return 2;
   }
-  if (selected.empty()) {
-    if (default_plan == nullptr) return print_usage(argv[0]);
-    selected.push_back(default_plan);
-  }
+  if (selected.empty()) return print_usage(argv[0]);
 
   // Resolve every plan before running any, so a typo in the second name
   // does not waste the first plan's simulation time.

@@ -1,13 +1,15 @@
 // Declarative bench driver: every reproduced figure/table/ablation is an
 // ExperimentPlan registered at static-init time, and one binary (xfa_bench)
-// lists and runs them. The legacy per-figure binaries are thin shims that
-// forward to the same registry with a default plan baked in.
+// lists and runs them.
 //
 // CLI contract (run_plan_cli):
 //   xfa_bench --list                 print the registered plans (with their
 //                                    shardable trace-unit counts)
 //   xfa_bench <plan> [<plan>...]     run plans in the given order
 //   xfa_bench <plan> --threads=N     size the shared execution pool first
+//                                    (N workers; the waiting caller also
+//                                    runs queued tasks, so up to N+1 tasks
+//                                    run at once)
 //   xfa_bench <plan> --out=PATH      redirect stdout to PATH
 //   xfa_bench <plan> --checkpoint=DIR [--resume]
 //                                    journal completed work units to DIR;
@@ -63,9 +65,8 @@ std::vector<const ExperimentPlan*> plans();
 /// Looks up one plan; nullptr when unknown.
 const ExperimentPlan* find_plan(const std::string& name);
 
-/// The xfa_bench entry point. `default_plan` (used by the legacy shims)
-/// names the plan to run when argv selects none.
-int run_plan_cli(int argc, char** argv, const char* default_plan = nullptr);
+/// The xfa_bench entry point.
+int run_plan_cli(int argc, char** argv);
 
 /// Registers a plan from a translation-unit-scope static initializer:
 ///   const PlanRegistrar registrar{"fig1", "Figure 1: ...", run_plan,

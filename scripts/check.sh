@@ -46,9 +46,9 @@ run_pass() {
     --out="${build_dir}/xfa_lint.sarif" . >/dev/null || true
   echo "=== ${name}: hot-path smoke (simulation + detection kernels) ==="
   # Correctness smoke, not a benchmark: every kernel self-checks (grid vs
-  # brute force, scheduler counters, memoization identity, view-fit vs
-  # Dataset-fit determinism, serial vs parallel score bit-identity) under
-  # XFA_CHECK.
+  # brute force, scheduler counters, memoization identity, refit
+  # determinism, serial vs parallel score bit-identity, feature windows vs
+  # brute-force counts, equal-frequency bucket sizes) under XFA_CHECK.
   "${build_dir}/bench/xfa_microbench" --quick
   echo "=== ${name}: scenario-file smoke (element graph, data-only combo) ==="
   # One examples/scenarios/*.scn end to end: parse -> lower -> build -> run.

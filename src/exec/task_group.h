@@ -42,9 +42,11 @@ class TaskGroup {
   bool cancelled() const;
 
   /// Blocks until every scheduled task has finished or been skipped,
-  /// cooperatively running queued tasks on the calling thread. Returns the
-  /// first hard error (by completion time), or Ok. Resets the group's error
-  /// state so the group can be reused for another batch.
+  /// cooperatively running queued tasks on the calling thread — so while a
+  /// thread outside the pool waits, a pool of N workers runs up to N+1 of
+  /// the group's tasks at once. Returns the first hard error (by completion
+  /// time), or Ok. Resets the group's error state so the group can be
+  /// reused for another batch.
   Status wait();
 
  private:

@@ -9,7 +9,11 @@
 // Nested parallelism is deadlock-free by construction: any thread that has
 // to wait for tasks (TaskGroup::wait, parallel_for) cooperatively drains the
 // queue via run_pending_task() instead of blocking, so a worker that spawns
-// sub-tasks executes them itself when no other worker is free.
+// sub-tasks executes them itself when no other worker is free. The same
+// holds for a waiting thread outside the pool: a pool of N workers whose
+// work is awaited from the main thread runs up to N+1 tasks at once (N=1 is
+// not serial). Callers that need strictly one task at a time run their loop
+// on the calling thread instead of submitting it.
 //
 // Every executed task is timed (wall clock and, on POSIX, per-thread CPU
 // time) into the pool's ExecStats counters — the raw material for bench
@@ -105,7 +109,9 @@ class ThreadPool {
 /// The process-wide pool every subsystem shares (model training, scenario
 /// gathering, bench grids). Sized from $XFA_THREADS / hardware concurrency
 /// on first use; resize_shared_pool() re-creates it (bench drivers honoring
-/// --threads=N; only safe while no tasks are in flight).
+/// --threads=N; only safe while no tasks are in flight). N sizes the
+/// workers, not the concurrency: a caller waiting in TaskGroup::wait or
+/// parallel_for runs queued tasks too, so up to N+1 run at once.
 ThreadPool& shared_pool();
 void resize_shared_pool(std::size_t threads);
 

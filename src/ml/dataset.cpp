@@ -1,10 +1,6 @@
 #include "ml/dataset.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/serial.h"
-#include "ml/dataset_view.h"
 
 namespace xfa {
 
@@ -25,36 +21,17 @@ bool Dataset::valid() const {
   return true;
 }
 
-Status Classifier::save_state(SerialWriter& out) const {
-  (void)out;
-  return {StatusCode::kInvalidArgument,
-          std::string(name()) + " is not serializable"};
-}
-
-Status Classifier::load_state(SerialReader& in, std::size_t max_columns) {
-  (void)in;
-  (void)max_columns;
-  return {StatusCode::kInvalidArgument,
-          std::string(name()) + " is not serializable"};
-}
-
-void Classifier::fit(const DatasetView& view,
-                     const std::vector<std::size_t>& feature_columns,
-                     std::size_t label_column) {
-  fit(view.source(), feature_columns, label_column);
-}
-
-std::size_t Classifier::predict_dist_into(const std::vector<int>& row,
-                                          std::span<double> out) const {
-  const std::vector<double> dist = predict_dist(row);
-  XFA_CHECK_GE(out.size(), dist.size()) << "scoring scratch buffer too small";
-  std::copy(dist.begin(), dist.end(), out.begin());
-  return dist.size();
-}
-
-std::span<const double> Classifier::predict_dist_span(
-    const std::vector<int>& row, std::span<double> scratch) const {
-  return {scratch.data(), predict_dist_into(row, scratch)};
+std::vector<double> Classifier::predict_dist(
+    const std::vector<int>& row) const {
+  // One allocation: the result doubles as the scratch, so a classifier that
+  // writes into it needs no copy and one that returns cached state gets one.
+  std::vector<double> dist(label_cardinality());
+  const std::span<const double> view = predict_dist_span(row, dist);
+  if (view.data() == dist.data())
+    dist.resize(view.size());
+  else
+    dist.assign(view.begin(), view.end());
+  return dist;
 }
 
 int Classifier::predict(const std::vector<int>& row) const {
@@ -81,16 +58,6 @@ std::vector<double> laplace_distribution(const std::vector<double>& counts) {
   for (std::size_t v = 0; v < counts.size(); ++v)
     dist[v] = (counts[v] + 1.0) / denominator;
   return dist;
-}
-
-void laplace_distribution_into(std::span<const double> counts,
-                               std::span<double> out) {
-  XFA_CHECK_GE(out.size(), counts.size()) << "scoring scratch buffer too small";
-  double total = 0;
-  for (const double c : counts) total += c;
-  const double denominator = total + static_cast<double>(counts.size());
-  for (std::size_t v = 0; v < counts.size(); ++v)
-    out[v] = (counts[v] + 1.0) / denominator;
 }
 
 }  // namespace xfa

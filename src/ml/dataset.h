@@ -34,47 +34,38 @@ struct Dataset {
 };
 
 /// Supervised classifier over nominal features with probabilistic output.
+/// Two virtuals carry the learner: fit() over a column-major view and
+/// predict_dist_span() into caller-owned scratch. predict_dist(), predict()
+/// and probability_of() are conveniences layered on the latter.
 class Classifier {
  public:
   virtual ~Classifier() = default;
 
-  /// Trains to predict `data.rows[*][label_column]` from `feature_columns`.
-  /// `feature_columns` must not contain `label_column`.
-  virtual void fit(const Dataset& data,
+  /// Trains to predict column `label_column` of `view` from
+  /// `feature_columns`, which must not contain `label_column`. The
+  /// cross-feature model builds one view and shares it across all L
+  /// sub-model fits; a caller holding a Dataset passes DatasetView(data).
+  virtual void fit(const DatasetView& view,
                    const std::vector<std::size_t>& feature_columns,
                    std::size_t label_column) = 0;
 
-  /// Column-major fast path: trains from a prebuilt DatasetView (the
-  /// cross-feature model builds one view and shares it across all L
-  /// sub-model fits). The default delegates to the row-major fit on
-  /// `view.source()`; the in-tree classifiers override it with cache-linear
-  /// column scans. Both paths produce bit-identical models.
-  virtual void fit(const DatasetView& view,
-                   const std::vector<std::size_t>& feature_columns,
-                   std::size_t label_column);
-
-  /// Probability distribution over the label's value space, for a full-width
-  /// row (the classifier reads only its feature columns).
-  virtual std::vector<double> predict_dist(
-      const std::vector<int>& row) const = 0;
-
-  /// Allocation-free scoring: writes the distribution into the front of
-  /// `out` and returns the number of classes written. `out` must be at
-  /// least label-cardinality wide (the cross-feature model sizes one
-  /// scratch buffer to the widest sub-model and reuses it per row). The
-  /// default shim calls predict_dist() and copies; overrides produce values
-  /// bit-identical to predict_dist().
-  virtual std::size_t predict_dist_into(const std::vector<int>& row,
-                                        std::span<double> out) const;
-
-  /// Zero-copy flavour of predict_dist_into: returns a view of the
-  /// distribution, which either aliases `scratch` (after writing into it) or
+  /// Probability distribution over the label's value space, for a
+  /// full-width row (the classifier reads only its feature columns). The
+  /// returned view either aliases `scratch` (after writing into it) or
   /// points at state cached inside the classifier at fit time — C4.5 and
   /// RIPPER return their cached per-leaf/per-rule distributions without
-  /// copying. Valid only until the next call on this classifier or the next
-  /// write to `scratch`. Values are bit-identical to predict_dist().
+  /// copying, NBC writes its normalized table sum into `scratch`. `scratch`
+  /// must be at least label_cardinality() wide (the cross-feature model
+  /// sizes one buffer to the widest sub-model and reuses it per row). Valid
+  /// only until the next call on this classifier or the next write to
+  /// `scratch`.
   virtual std::span<const double> predict_dist_span(
-      const std::vector<int>& row, std::span<double> scratch) const;
+      const std::vector<int>& row, std::span<double> scratch) const = 0;
+
+  /// Allocating copy of predict_dist_span(), for callers outside the
+  /// scoring hot path (the scratch-scoring lint rule keeps it out of
+  /// src/cfa loops).
+  std::vector<double> predict_dist(const std::vector<int>& row) const;
 
   /// Most probable class.
   int predict(const std::vector<int>& row) const;
@@ -85,23 +76,22 @@ class Classifier {
 
   virtual const char* name() const = 0;
 
-  /// Width of the label's value space for the fitted model; 0 before fit
-  /// (or for classifiers that do not track it). The cross-feature model
-  /// sizes its scoring scratch from this after deserialization.
-  virtual std::size_t label_cardinality() const { return 0; }
+  /// Width of the label's value space for the fitted model; 0 before fit.
+  /// The cross-feature model sizes its scoring scratch from this after
+  /// deserialization.
+  virtual std::size_t label_cardinality() const = 0;
 
   /// Serializes the fitted state into `out` so that load_state() on a
   /// default-configured instance restores a classifier whose every
-  /// predict_*/describe() output is bit-identical. Default: the classifier
-  /// is not serializable (kInvalidArgument). Persisted via the XFAMDL1
-  /// artifact format, see ml/model_io.h.
-  virtual Status save_state(SerialWriter& out) const;
+  /// predict_*/describe() output is bit-identical. Persisted via the
+  /// XFAMDL1 artifact format, see ml/model_io.h.
+  virtual Status save_state(SerialWriter& out) const = 0;
 
   /// Restores state written by save_state(). Every stored column index is
   /// validated against `max_columns` (the row width predict will be handed)
   /// and every internal size invariant is re-checked, so a hostile payload
   /// yields kCorruptArtifact — never an abort or out-of-bounds access.
-  virtual Status load_state(SerialReader& in, std::size_t max_columns);
+  virtual Status load_state(SerialReader& in, std::size_t max_columns) = 0;
 
   /// Human-readable rendering of the fitted model (the paper: "the resulting
   /// model is fairly easy to comprehend and can be examined by human
@@ -120,11 +110,5 @@ using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
 
 /// Utility: Laplace-smoothed distribution from raw class counts.
 std::vector<double> laplace_distribution(const std::vector<double>& counts);
-
-/// In-place flavour for reused scratch buffers; writes counts.size() values
-/// into the front of `out` (which must be at least that wide). Arithmetic is
-/// identical to laplace_distribution.
-void laplace_distribution_into(std::span<const double> counts,
-                               std::span<double> out);
 
 }  // namespace xfa

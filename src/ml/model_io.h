@@ -28,8 +28,9 @@ class SerialWriter;
 /// name is unknown (a corrupt or future-format artifact).
 std::unique_ptr<Classifier> make_classifier_by_name(const std::string& name);
 
-/// Appends `classifier.name()` + its nested state blob. kInvalidArgument
-/// when the classifier is unfitted or not serializable (nothing written).
+/// Appends `classifier.name()` + its nested state blob. Passes on the
+/// classifier's save_state() refusal — kInvalidArgument when it is
+/// unfitted — with nothing written.
 Status save_classifier(const Classifier& classifier, SerialWriter& out);
 
 /// Reads one classifier written by save_classifier. kCorruptArtifact on any

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "ml/c45.h"
+#include "ml/dataset_view.h"
 #include "ml/linreg.h"
 #include "ml/metrics.h"
 #include "ml/naive_bayes.h"
@@ -47,7 +48,7 @@ template <typename MakeClassifier>
 void expect_learns_xor(MakeClassifier make) {
   const Dataset data = xor_dataset(16);
   auto classifier = make();
-  classifier->fit(data, {0, 1, 2}, 3);
+  classifier->fit(DatasetView(data), {0, 1, 2}, 3);
   EXPECT_EQ(classifier->predict({0, 0, 1, -1}), 0);
   EXPECT_EQ(classifier->predict({0, 1, 0, -1}), 1);
   EXPECT_EQ(classifier->predict({1, 0, 2, -1}), 1);
@@ -74,7 +75,7 @@ TEST(RipperTest, LearnsConjunctiveConcept) {
                          (f0 == 1 && f1 == 2) ? 1 : 0});
   }
   Ripper classifier;
-  classifier.fit(data, {0, 1, 2}, 3);
+  classifier.fit(DatasetView(data), {0, 1, 2}, 3);
   EXPECT_EQ(classifier.predict({1, 2, 0, -1}), 1);
   EXPECT_EQ(classifier.predict({1, 2, 1, -1}), 1);
   EXPECT_EQ(classifier.predict({0, 2, 0, -1}), 0);
@@ -85,7 +86,7 @@ TEST(RipperTest, LearnsConjunctiveConcept) {
 TEST(C45Test, ProbabilitiesAreLeafFrequencies) {
   const Dataset data = noisy_copy_dataset(600);
   C45 classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   // For f0 = v, the leaf should assign ~0.9 to class v.
   for (int v = 0; v < 3; ++v) {
     const auto dist = classifier.predict_dist({v, 0, -1});
@@ -102,11 +103,11 @@ TEST(C45Test, PrunedTreeIsSmaller) {
   no_prune.prune = false;
   no_prune.min_split_samples = 2;
   C45 unpruned(no_prune);
-  unpruned.fit(data, {0, 1}, 2);
+  unpruned.fit(DatasetView(data), {0, 1}, 2);
   C45Config with_prune;
   with_prune.min_split_samples = 2;
   C45 pruned(with_prune);
-  pruned.fit(data, {0, 1}, 2);
+  pruned.fit(DatasetView(data), {0, 1}, 2);
   EXPECT_LE(pruned.node_count(), unpruned.node_count());
 }
 
@@ -115,7 +116,7 @@ TEST(C45Test, ConstantLabelAlwaysPredictsIt) {
   data.cardinality = {3, 1};
   for (int i = 0; i < 20; ++i) data.rows.push_back({i % 3, 0});
   C45 classifier;
-  classifier.fit(data, {0}, 1);
+  classifier.fit(DatasetView(data), {0}, 1);
   const auto dist = classifier.predict_dist({1, -1});
   ASSERT_EQ(dist.size(), 1u);
   EXPECT_DOUBLE_EQ(dist[0], 1.0);
@@ -124,7 +125,7 @@ TEST(C45Test, ConstantLabelAlwaysPredictsIt) {
 TEST(C45Test, IgnoresIrrelevantNoiseColumn) {
   const Dataset data = noisy_copy_dataset(600);
   C45 classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   // Same f0, different noise values: prediction should not flip.
   for (int v = 0; v < 3; ++v)
     EXPECT_EQ(classifier.predict({v, 0, -1}), classifier.predict({v, 1, -1}));
@@ -133,7 +134,7 @@ TEST(C45Test, IgnoresIrrelevantNoiseColumn) {
 TEST(RipperTest, RulesHaveProbabilities) {
   const Dataset data = noisy_copy_dataset(600);
   Ripper classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   const auto dist = classifier.predict_dist({1, 0, -1});
   double sum = 0;
   for (const double p : dist) sum += p;
@@ -152,7 +153,7 @@ TEST(RipperTest, DefaultClassIsMajority) {
     data.rows.push_back({static_cast<int>(rng.uniform_int(2)), label});
   }
   Ripper classifier;
-  classifier.fit(data, {0}, 1);
+  classifier.fit(DatasetView(data), {0}, 1);
   EXPECT_EQ(classifier.predict({0, -1}), 2);
   EXPECT_EQ(classifier.predict({1, -1}), 2);
 }
@@ -165,7 +166,7 @@ TEST(NaiveBayesTest, MatchesPaperFormulaOnToyData) {
   data.rows = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {0, 1, 0},
                {1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 0, 1}};
   NaiveBayes classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   const auto dist = classifier.predict_dist({0, 0, -1});
   EXPECT_GT(dist[0], 0.9);
   EXPECT_NEAR(dist[0] + dist[1], 1.0, 1e-9);
@@ -177,7 +178,7 @@ TEST(NaiveBayesTest, LaplaceSmoothingAvoidsZeros) {
   data.cardinality = {3, 2};
   data.rows = {{0, 0}, {0, 0}, {1, 1}, {1, 1}};  // value 2 never seen
   NaiveBayes classifier;
-  classifier.fit(data, {0}, 1);
+  classifier.fit(DatasetView(data), {0}, 1);
   const auto dist = classifier.predict_dist({2, -1});
   EXPECT_GT(dist[0], 0.0);
   EXPECT_GT(dist[1], 0.0);
@@ -199,7 +200,7 @@ TEST(NaiveBayesTest, HandlesManyFeaturesWithoutUnderflow) {
   NaiveBayes classifier;
   std::vector<std::size_t> feature_columns;
   for (std::size_t f = 0; f < features; ++f) feature_columns.push_back(f);
-  classifier.fit(data, feature_columns, features);
+  classifier.fit(DatasetView(data), feature_columns, features);
   const auto dist = classifier.predict_dist(data.rows[0]);
   EXPECT_TRUE(std::isfinite(dist[0]));
   EXPECT_NEAR(dist[0] + dist[1], 1.0, 1e-9);
@@ -218,7 +219,7 @@ TEST(C45Test, GainRatioResistsHighArityNoise) {
                          rng.chance(0.95) ? f0 : 1 - f0});
   }
   C45 classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   // Whatever the noise value, the prediction must follow f0.
   for (int noise = 0; noise < 20; ++noise) {
     EXPECT_EQ(classifier.predict({0, noise, -1}), 0);
@@ -229,7 +230,7 @@ TEST(C45Test, GainRatioResistsHighArityNoise) {
 TEST(C45Test, DepthAndNodeCountReported) {
   const Dataset data = xor_dataset(8);
   C45 classifier;
-  classifier.fit(data, {0, 1, 2}, 3);
+  classifier.fit(DatasetView(data), {0, 1, 2}, 3);
   EXPECT_GE(classifier.depth(), 2u);  // XOR needs two levels
   EXPECT_GT(classifier.node_count(), 3u);
 }
@@ -244,7 +245,7 @@ TEST(C45Test, UnseenBranchFallsBackToNodeDistribution) {
     data.rows.push_back({f0, f0});
   }
   C45 classifier;
-  classifier.fit(data, {0}, 1);
+  classifier.fit(DatasetView(data), {0}, 1);
   const auto dist = classifier.predict_dist({2, -1});
   EXPECT_NEAR(dist[0] + dist[1], 1.0, 1e-9);
   EXPECT_GT(dist[0], 0.2);  // roughly the prior, not a confident answer
@@ -256,7 +257,7 @@ TEST(RipperTest, RuleCountStaysBounded) {
   RipperConfig config;
   config.max_rules_per_class = 4;
   Ripper classifier(config);
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   EXPECT_LE(classifier.rule_count(), 4u * 3u);
 }
 
@@ -269,7 +270,7 @@ TEST(NaiveBayesTest, FallsBackToPriorWithoutEvidence) {
     data.rows.push_back({static_cast<int>(rng.uniform_int(2)),
                          rng.chance(0.8) ? 0 : 1});
   NaiveBayes classifier;
-  classifier.fit(data, {0}, 1);
+  classifier.fit(DatasetView(data), {0}, 1);
   const auto dist = classifier.predict_dist({0, -1});
   EXPECT_NEAR(dist[0], 0.8, 0.08);
 }
@@ -277,7 +278,7 @@ TEST(NaiveBayesTest, FallsBackToPriorWithoutEvidence) {
 TEST(DescribeTest, C45RenderingNamesSplitsAndLeaves) {
   const Dataset data = noisy_copy_dataset(400);
   C45 classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   const std::string text =
       classifier.describe({"color", "noise", "label"});
   EXPECT_NE(text.find("split on color"), std::string::npos);
@@ -295,7 +296,7 @@ TEST(DescribeTest, RipperRenderingShowsRulesAndDefault) {
                          (f0 == 1 && f1 == 2) ? 1 : 0});
   }
   Ripper classifier;
-  classifier.fit(data, {0, 1, 2}, 3);
+  classifier.fit(DatasetView(data), {0, 1, 2}, 3);
   const std::string text = classifier.describe({"a", "b", "noise", "label"});
   EXPECT_NE(text.find("IF "), std::string::npos);
   EXPECT_NE(text.find("THEN class 1"), std::string::npos);
@@ -307,7 +308,7 @@ TEST(DescribeTest, DefaultRenderingIsOpaque) {
   Dataset data;
   data.cardinality = {2, 2};
   data.rows = {{0, 0}, {1, 1}};
-  classifier.fit(data, {0}, 1);
+  classifier.fit(DatasetView(data), {0}, 1);
   EXPECT_NE(classifier.describe({}).find("NBC"), std::string::npos);
 }
 
@@ -361,7 +362,7 @@ TEST(LinRegTest, LogDistance) {
 TEST(MetricsTest, AccuracyAndConfusion) {
   const Dataset data = noisy_copy_dataset(500);
   C45 classifier;
-  classifier.fit(data, {0, 1}, 2);
+  classifier.fit(DatasetView(data), {0, 1}, 2);
   const double acc = accuracy(classifier, data, 2);
   EXPECT_GT(acc, 0.8);
   const auto confusion = confusion_matrix(classifier, data, 2);
@@ -402,7 +403,7 @@ TEST_P(ClassifierParamTest, BeatsMajorityBaseline) {
     case 1: classifier = std::make_unique<Ripper>(); break;
     default: classifier = std::make_unique<NaiveBayes>(); break;
   }
-  classifier->fit(data, {0, 1}, 2);
+  classifier->fit(DatasetView(data), {0, 1}, 2);
   // Majority baseline on 3 roughly equal classes is ~0.33.
   EXPECT_GT(accuracy(*classifier, data, 2), 0.6) << classifier->name();
 }

@@ -20,6 +20,7 @@
 #include "common/env.h"
 #include "common/serial.h"
 #include "ml/c45.h"
+#include "ml/dataset_view.h"
 #include "ml/model_io.h"
 #include "ml/naive_bayes.h"
 #include "ml/ripper.h"
@@ -125,7 +126,7 @@ TEST(ModelIoTest, ClassifierRoundTripIsBitIdentical) {
   const Dataset data = sample_dataset();
   const std::vector<std::size_t> features = {0, 1, 2};
   for (const auto& original : all_classifiers()) {
-    original->fit(data, features, 3);
+    original->fit(DatasetView(data), features, 3);
 
     std::string payload;
     SerialWriter writer(payload);
@@ -178,7 +179,7 @@ TEST(ModelIoTest, UnknownClassifierNameIsCorrupt) {
 TEST(ModelIoTest, ClassifierPayloadTruncationSweepFailsSoft) {
   const Dataset data = sample_dataset();
   for (const auto& original : all_classifiers()) {
-    original->fit(data, {0, 1, 2}, 3);
+    original->fit(DatasetView(data), {0, 1, 2}, 3);
     std::string payload;
     SerialWriter writer(payload);
     ASSERT_TRUE(save_classifier(*original, writer).ok());
@@ -201,7 +202,7 @@ TEST(ModelIoTest, ClassifierPayloadTruncationSweepFailsSoft) {
 TEST(ModelIoTest, OutOfRangeColumnIndexIsCorrupt) {
   const Dataset data = sample_dataset();
   for (const auto& original : all_classifiers()) {
-    original->fit(data, {0, 1, 2}, 3);
+    original->fit(DatasetView(data), {0, 1, 2}, 3);
     std::string payload;
     SerialWriter writer(payload);
     ASSERT_TRUE(save_classifier(*original, writer).ok());

@@ -245,13 +245,13 @@ void rule_fused_mi(const Ctx& c) {
 void rule_scratch_scoring(const Ctx& c) {
   if (!starts_with(c.f.rel, "cfa/")) return;
   walk_loops(c, [&c](std::size_t i, bool in_loop) {
-    // predict_dist_into / predict_dist_span are different identifier
-    // tokens, so the scratch-buffer path never matches.
+    // predict_dist_span is a different identifier token, so the
+    // scratch-buffer path never matches.
     if (!in_loop || !c.is_ident(i, "predict_dist")) return;
     if (i + 1 >= c.code.size() || !c.is_punct(i + 1, "(")) return;
     c.report(i, "scratch-scoring",
              "allocating predict_dist call in a src/cfa loop; use "
-             "predict_dist_into with a reused scratch buffer so batched "
+             "predict_dist_span with a reused scratch buffer so batched "
              "scoring stays allocation-free");
   });
 }

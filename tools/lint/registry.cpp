@@ -115,8 +115,8 @@ const std::vector<RuleInfo>& rule_registry() {
        "src/cfa, loops",
        "Batched scoring is the detection hot path and must stay "
        "allocation-free: predict_dist() materializes a fresh vector per "
-       "(row, sub-model) pair; use predict_dist_into with a reused scratch "
-       "buffer (ml/dataset.h)."},
+       "(row, sub-model) pair; call the predict_dist_span virtual with a "
+       "reused scratch buffer (ml/dataset.h)."},
       {"status-not-abort",
        "scenario TUs that do file I/O must not XFA_CHECK",
        "src/scenario TUs including <fstream>/<filesystem>/<cstdio>",
