@@ -16,7 +16,6 @@
 #include "eval/density.h"
 #include "eval/pr.h"
 #include "eval/series.h"
-#include "scenario/checkpoint.h"
 #include "scenario/pipeline.h"
 
 namespace xfa::bench {
@@ -42,26 +41,23 @@ struct Cell {
   const ExperimentData* data = nullptr;
 };
 
-/// Training and scoring go through the checkpoint-journal-aware helpers:
-/// with no journal installed they are exactly train_detector/score_trace,
-/// with one (xfa_bench --checkpoint) every completed unit is journaled and
-/// a resumed run loads it back bit-identically.
+/// Trains the cell's detector (thresholds from the first normal evaluation
+/// trace) and scores every remaining evaluation trace.
 inline Cell evaluate(const ExperimentData& data,
                      const ClassifierFactory& factory,
                      const DetectorOptions& detector_options = {}) {
   Cell cell;
   cell.data = &data;
-  Result<JournaledDetector> trained = train_detector_journaled(
+  Result<Detector> trained = train_detector_checked(
       data.train_normal, factory, detector_options,
       data.normal_eval.empty() ? nullptr : &data.normal_eval.front());
   XFA_CHECK(trained.ok()) << trained.status().to_string();
-  cell.detector = std::move(trained->detector);
+  cell.detector = std::move(*trained);
   for (std::size_t i = 1; i < data.normal_eval.size(); ++i)
-    cell.normal_scores.push_back(score_trace_journaled(
-        cell.detector, trained->unit_key, data.normal_eval[i]));
+    cell.normal_scores.push_back(
+        cell.detector.score_trace(data.normal_eval[i]));
   for (const RawTrace& trace : data.abnormal)
-    cell.abnormal_scores.push_back(
-        score_trace_journaled(cell.detector, trained->unit_key, trace));
+    cell.abnormal_scores.push_back(cell.detector.score_trace(trace));
   return cell;
 }
 

@@ -9,8 +9,8 @@
 //                        drain, on the paper's topology (50 nodes, 1000x1000,
 //                        250 m range, 20 m/s waypoint motion).
 //   scheduler-churn      schedule / cancel / dispatch cycles through the
-//                        slab-allocated scheduler, including the tombstone
-//                        compaction path.
+//                        slab-allocated scheduler, including tombstone
+//                        discard on pop.
 //   mobility-query       Random-waypoint position evaluation at advancing
 //                        times, including the same-instant memoization hit
 //                        pattern the channel produces.
@@ -185,9 +185,10 @@ void bench_scheduler(bool quick) {
   Scheduler& scheduler = sim.scheduler();
   std::uint64_t fired = 0;
   const auto start = Clock::now();
-  // Per cycle: two schedules, one cancel, then drain — the discovery-timer
-  // churn pattern (arm a retry, cancel it when the reply arrives) that made
-  // tombstones pile up in the old map-based scheduler.
+  // Per cycle: two schedules, one cancel, then drain — a retry-timer churn
+  // pattern (arm a retry, cancel it when the reply arrives) that no in-tree
+  // protocol uses. Each tombstone stays in the heap for 5 s of simulated
+  // time, about 5000 cycles, until it is popped and discarded.
   for (std::uint64_t i = 0; i < iters; ++i) {
     const SimTime base = static_cast<double>(i) * 0.001;
     const EventId keep = sim.at(base + 0.01, [&fired] { ++fired; });

@@ -11,7 +11,6 @@
 #include "common/crc64.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
-#include "scenario/checkpoint.h"
 #include "scenario/runner.h"
 
 namespace xfa::bench {
@@ -40,17 +39,13 @@ int print_plan_list() {
 int print_usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--list] [--threads=N] [--out=PATH]\n"
-               "       [--checkpoint=DIR [--resume]] [--shard=K/N | --merge]\n"
-               "       <plan>...\n"
+               "       [--shard=K/N | --merge] <plan>...\n"
                "       (run `%s --list` for the registered plans)\n"
                "  --threads=N       size the shared pool to N workers; a "
                "thread waiting on\n"
                "                    pool work runs queued tasks too, so up "
                "to N+1 tasks\n"
                "                    run at once\n"
-               "  --checkpoint=DIR  journal completed work units to DIR\n"
-               "  --resume          replay DIR's journal and skip completed "
-               "units\n"
                "  --shard=K/N       simulate only shard K (0-based) of the "
                "plans' trace\n"
                "                    units into the shared cache\n"
@@ -186,8 +181,6 @@ int run_plan_cli(int argc, char** argv) {
   std::size_t threads = 0;  // 0 = leave the shared pool at its default size
   bool threads_set = false;
   std::string out_path;
-  std::string checkpoint_dir;
-  bool resume = false;
   std::size_t shard_index = 0;
   std::size_t shard_count = 0;  // 0 = not sharding
   bool merge = false;
@@ -205,14 +198,6 @@ int run_plan_cli(int argc, char** argv) {
       threads_set = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      checkpoint_dir = arg.substr(13);
-      if (checkpoint_dir.empty()) {
-        std::fprintf(stderr, "--checkpoint needs a directory\n");
-        return 2;
-      }
-    } else if (arg == "--resume") {
-      resume = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
       if (!parse_shard(arg.substr(8), &shard_index, &shard_count)) {
         std::fprintf(stderr, "bad --shard value: %s (want K/N with K < N)\n",
@@ -232,10 +217,6 @@ int run_plan_cli(int argc, char** argv) {
   }
 
   if (list) return print_plan_list();
-  if (resume && checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint=DIR\n");
-    return 2;
-  }
   if (shard_count > 0 && merge) {
     std::fprintf(stderr,
                  "--shard and --merge are different run phases; pick one\n");
@@ -264,20 +245,6 @@ int run_plan_cli(int argc, char** argv) {
     }
   }
 
-  // The journal outlives every plan run and is uninstalled before it is
-  // destroyed; plans see it through checkpoint_journal(). A fresh
-  // --checkpoint discards any previous journal, --resume replays it.
-  CheckpointJournal journal;
-  if (!checkpoint_dir.empty()) {
-    const Status status = journal.open(checkpoint_dir, resume);
-    if (!status.ok()) {
-      std::fprintf(stderr, "cannot open checkpoint journal in '%s': %s\n",
-                   checkpoint_dir.c_str(), status.to_string().c_str());
-      return 2;
-    }
-    install_checkpoint_journal(&journal);
-  }
-
   int exit_code = 0;
   if (shard_count > 0) {
     // Shard workers only fill the cache; the plans' own run() output comes
@@ -295,7 +262,6 @@ int run_plan_cli(int argc, char** argv) {
     }
     if (merge) set_require_cached_traces(false);
   }
-  if (!checkpoint_dir.empty()) install_checkpoint_journal(nullptr);
   std::fflush(stdout);
   return exit_code;
 }

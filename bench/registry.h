@@ -11,9 +11,6 @@
 //                                    runs queued tasks, so up to N+1 tasks
 //                                    run at once)
 //   xfa_bench <plan> --out=PATH      redirect stdout to PATH
-//   xfa_bench <plan> --checkpoint=DIR [--resume]
-//                                    journal completed work units to DIR;
-//                                    --resume skips units already journaled
 //   xfa_bench <plan> --shard=K/N     simulate only this worker's 1/N of the
 //                                    plans' trace units into the shared
 //                                    cache (K in 0..N-1); prints shard
@@ -25,8 +22,9 @@
 //                                    re-simulation
 //
 // Plans print to stdout exactly what the pre-registry binaries printed;
-// --threads only changes wall-clock, never bytes (see DESIGN.md §9), and a
-// resumed run's output is byte-identical to an uninterrupted one for any
+// --threads only changes wall-clock, never bytes (see DESIGN.md §9), and
+// re-running a killed command with the same XFA_CACHE_DIR resumes it from
+// the traces already cached, byte-identical to an uninterrupted run for any
 // kill point (see DESIGN.md §13). Sharding composes the same way: units are
 // partitioned by a stable hash of their canonical cache key, so for any N
 // the union over K covers every unit exactly once, and a --merge after all

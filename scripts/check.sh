@@ -6,10 +6,11 @@
 #      single-flight, deadline watchdog, cache stress, parallel gather,
 #      engine determinism) —
 # running the xfa_lint repo rules in every pass, then re-running the chaos /
-# corruption / crash-resume robustness suites under the sanitizers with the
-# cache forced off (XFA_NO_CACHE) so every fault-injection, artifact-parsing
-# and kill/resume path is actually exercised under ASan+UBSan. CI runs
-# exactly this script.
+# corruption / kill-rerun robustness suites under the sanitizers with the
+# cache forced off (XFA_NO_CACHE) so every fault-injection and
+# artifact-parsing path is actually exercised under ASan+UBSan (the
+# subprocess suites, shard and kill-rerun, set their children's cache
+# environment themselves). CI runs exactly this script.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -80,15 +81,15 @@ run_pass "asan+ubsan" build-check-sanitize \
   -DXFA_SANITIZE="address;undefined"
 
 # Robustness gate: the corruption sweeps (cache_robustness_test,
-# model_io_test), the crash-injection kill/resume harness
-# (crash_resume_test — SIGKILLed xfa_bench subprocesses, all sanitized),
+# model_io_test), the kill-and-rerun harness (kill_rerun_test — SIGKILLed
+# xfa_bench subprocesses resumed from their trace cache, all sanitized),
 # the fault-injection layer (faults_test, degraded_cfa_test), and the
 # determinism-under-faults guard must all hold with sanitizers armed and
 # caching disabled — no on-disk bytes may crash the process, no kill point
-# may lose or corrupt journaled work, and no chaos path may contain UB.
+# may lose or corrupt cached work, and no chaos path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel' \
+  -R 'CacheRobustness|ModelIo|ModelStore|KillRerun|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be

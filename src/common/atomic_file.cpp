@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
@@ -203,6 +204,15 @@ void sweep_stale_temps(const std::string& directory) {
   for (const auto& entry : it) {
     if (!entry.is_regular_file(ec)) continue;
     const fs::path& p = entry.path();
+    if (p.extension() == ".claim") {
+      // A producer killed between publishing its artifact and releasing its
+      // claim leaves a claim nobody contends again (the key is a cache hit
+      // from then on). holder_alive() reaps it once its holder is dead.
+      std::string artifact = p.string();
+      artifact.resize(artifact.size() - std::strlen(".claim"));
+      (void)ClaimFile::holder_alive(artifact);
+      continue;
+    }
     if (p.extension() != ".tmp") continue;
     unsigned long long pid = 0;
     if (parse_temp_pid(p.filename().string(), pid)) {
@@ -293,32 +303,6 @@ void ClaimFile::sleep_ms(int ms) {
 #else
   (void)ms;
 #endif
-}
-
-Status AppendFile::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr)
-    return {StatusCode::kIoError, path + ": cannot open for append"};
-  path_ = path;
-  return Status::Ok();
-}
-
-Status AppendFile::append(std::string_view bytes) {
-  if (file_ == nullptr)
-    return {StatusCode::kInvalidArgument, "append on closed file"};
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file_);
-  if (written != bytes.size() || !sync_stream(file_))
-    return {StatusCode::kIoError, path_ + ": append failed"};
-  return Status::Ok();
-}
-
-void AppendFile::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
 }
 
 }  // namespace xfa

@@ -1,9 +1,9 @@
 // Crash-safe file publication and CRC-framed artifact I/O.
 //
-// Every artifact writer in the tree (trace cache, model store, checkpoint
-// journal) funnels through this file — the xfa_lint `atomic-write` rule
-// rejects raw std::ofstream / fopen anywhere else under src/ — so the
-// crash-safety invariants live in exactly one place:
+// Every artifact writer in the tree (trace cache, model store) funnels
+// through this file — the xfa_lint `atomic-write` rule rejects raw
+// std::ofstream / fopen anywhere else under src/ — so the crash-safety
+// invariants live in exactly one place:
 //
 //   * atomic_write_file: bytes go to a per-writer-unique temp file
 //     (`<path>.<pid>.<seq>.tmp`), are fsync'd, then renamed onto `path`.
@@ -14,13 +14,10 @@
 //     XFATRC3 trace artifacts and XFAMDL1 model files. The reader validates
 //     the declared size against the real file size before allocating and
 //     the checksum before parsing, so no on-disk bytes can crash a loader.
-//   * AppendFile: durable append-only writes for the checkpoint journal
-//     (fwrite + fflush + fsync per record).
-//   * sweep_stale_temps: deletes `*.tmp` litter abandoned by writers whose
-//     embedded pid is no longer alive.
+//   * sweep_stale_temps: deletes `*.tmp` and `*.claim` litter abandoned by
+//     writers whose pid is no longer alive.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -60,7 +57,9 @@ void quarantine_file(const std::string& path);
 /// whose embedded pid is still alive is never touched (the old age-based
 /// sweep could delete a live slow writer's temp); a temp with a dead pid is
 /// removed immediately, and a temp whose name does not parse falls back to a
-/// 24-hour age bound. Best-effort: all filesystem errors are swallowed.
+/// 24-hour age bound. `*.claim` files whose holder died are reaped too
+/// (ClaimFile::holder_alive). Best-effort: all filesystem errors are
+/// swallowed.
 void sweep_stale_temps(const std::string& directory);
 
 /// Cross-process single-flight claim on an artifact path. A producer about
@@ -102,30 +101,6 @@ class ClaimFile {
 
  private:
   std::string path_;  // empty = not held
-};
-
-/// Durable append-only file handle for journal writers. Each append is
-/// flushed and fsync'd before returning, so a record that append() reported
-/// as written survives SIGKILL. Not thread-safe; callers serialize.
-class AppendFile {
- public:
-  AppendFile() = default;
-  ~AppendFile() { close(); }
-  AppendFile(const AppendFile&) = delete;
-  AppendFile& operator=(const AppendFile&) = delete;
-
-  /// Opens `path` for appending, creating it if missing.
-  Status open(const std::string& path);
-  bool is_open() const { return file_ != nullptr; }
-
-  /// Appends `bytes` and forces them to disk.
-  Status append(std::string_view bytes);
-
-  void close();
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
 };
 
 }  // namespace xfa

@@ -33,11 +33,6 @@ EnvSnapshot read_environment() {
     const int parsed = std::atoi(deadline);
     if (parsed >= 0) snapshot.trace_deadline_ms = parsed;
   }
-  if (const char* crash = std::getenv("XFA_CRASH_AFTER_UNITS");
-      crash != nullptr && crash[0] != '\0') {
-    const int parsed = std::atoi(crash);
-    if (parsed >= 0) snapshot.crash_after_units = parsed;
-  }
   if (const char* wait = std::getenv("XFA_CLAIM_WAIT_MS");
       wait != nullptr && wait[0] != '\0') {
     const int parsed = std::atoi(wait);

@@ -31,9 +31,6 @@ struct EnvSnapshot {
   /// doubles the budget on each kDeadlineExceeded retry, reusing the same
   /// seed so the eventual trace is byte-identical to an undeadlined run.
   int trace_deadline_ms = 0;
-  /// XFA_CRASH_AFTER_UNITS: crash-injection test hook — the checkpoint
-  /// journal raises SIGKILL after this many appended units (0 = disabled).
-  int crash_after_units = 0;
   /// XFA_CLAIM_WAIT_MS: how long a scenario runner waits on another
   /// *process* already simulating the same trace (claim-file rendezvous,
   /// common/atomic_file.h) before simulating it redundantly. 0 disables the

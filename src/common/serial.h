@@ -1,12 +1,12 @@
 // Bounds-checked binary (de)serialization primitives.
 //
-// Every persistent artifact in the tree — XFATRC3 trace-cache files,
-// XFAMDL1 model files, checkpoint-journal records — serializes through
-// SerialWriter and parses through SerialReader. The reader is a cursor over
-// an in-memory buffer whose every read fails soft when the remaining bytes
-// cannot satisfy it, so hostile counts never drive an allocation or an
-// out-of-bounds read. Integer widths are fixed (sizes travel as u64) so the
-// byte layout is identical across platforms with IEEE-754 doubles.
+// Every persistent artifact in the tree — XFATRC3 trace-cache files and
+// XFAMDL1 model files — serializes through SerialWriter and parses through
+// SerialReader. The reader is a cursor over an in-memory buffer whose every
+// read fails soft when the remaining bytes cannot satisfy it, so hostile
+// counts never drive an allocation or an out-of-bounds read. Integer widths
+// are fixed (sizes travel as u64) so the byte layout is identical across
+// platforms with IEEE-754 doubles.
 #pragma once
 
 #include <cstdint>

@@ -42,14 +42,6 @@ int Classifier::predict(const std::vector<int>& row) const {
   return best;
 }
 
-double Classifier::probability_of(const std::vector<int>& row,
-                                  int class_value) const {
-  const std::vector<double> dist = predict_dist(row);
-  if (class_value < 0 || static_cast<std::size_t>(class_value) >= dist.size())
-    return 0.0;
-  return dist[static_cast<std::size_t>(class_value)];
-}
-
 std::vector<double> laplace_distribution(const std::vector<double>& counts) {
   std::vector<double> dist(counts.size());
   double total = 0;

@@ -35,8 +35,8 @@ struct Dataset {
 
 /// Supervised classifier over nominal features with probabilistic output.
 /// Two virtuals carry the learner: fit() over a column-major view and
-/// predict_dist_span() into caller-owned scratch. predict_dist(), predict()
-/// and probability_of() are conveniences layered on the latter.
+/// predict_dist_span() into caller-owned scratch. predict_dist() and
+/// predict() are allocating conveniences layered on the latter.
 class Classifier {
  public:
   virtual ~Classifier() = default;
@@ -69,10 +69,6 @@ class Classifier {
 
   /// Most probable class.
   int predict(const std::vector<int>& row) const;
-
-  /// Estimated probability of a specific class value — the p(f_i(x)|x) used
-  /// by Algorithm 3.
-  double probability_of(const std::vector<int>& row, int class_value) const;
 
   virtual const char* name() const = 0;
 

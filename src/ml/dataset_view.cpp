@@ -5,8 +5,7 @@
 namespace xfa {
 
 DatasetView::DatasetView(const Dataset& data)
-    : source_(&data),
-      rows_(data.rows.size()),
+    : rows_(data.rows.size()),
       cols_(data.cardinality.size()),
       cardinality_(data.cardinality) {
   for (const int card : cardinality_)

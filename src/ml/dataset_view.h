@@ -7,10 +7,8 @@
 // is built once per dataset (CrossFeatureModel::train builds a single view
 // shared by all L sub-model fits) and hands out cache-linear `std::span`s.
 //
-// The view copies values (int32, column-major) and keeps a pointer to the
-// source Dataset so code that still needs the row-major layout (the
-// held-out scoring of ml/feature_select.cpp) can reach it. It must not
-// outlive the Dataset.
+// The view copies values (int32, column-major) and keeps no reference to the
+// source Dataset, which may be destroyed once the view is built.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +35,7 @@ class DatasetView {
   /// Largest column cardinality — the scratch-buffer sizing bound.
   int max_cardinality() const { return max_cardinality_; }
 
-  const Dataset& source() const { return *source_; }
-
  private:
-  const Dataset* source_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::int32_t> values_;  // column-major: values_[c*rows_ + r]

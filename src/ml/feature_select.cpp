@@ -115,15 +115,15 @@ void rank_mutual_information(const DatasetView& view,
 
 /// Trains one sub-model per candidate on the leading rows and scores its
 /// match accuracy (the Algorithm-2 quantity) on the held-out tail. The head
-/// dataset is materialized once and shared read-only by every fit.
+/// dataset and the tail rows are materialized once from the view and shared
+/// read-only by every task; each task scores through one reused scratch.
 void rank_submodel_accuracy(const DatasetView& view,
                             const std::vector<std::size_t>& candidates,
                             const ClassifierFactory& factory,
                             double holdout_fraction,
                             std::vector<double>& scores,
                             std::size_t threads) {
-  const Dataset& data = view.source();
-  const std::size_t rows = data.rows.size();
+  const std::size_t rows = view.rows();
   if (rows < 2) {
     std::fill(scores.begin(), scores.end(), 0.0);
     return;
@@ -134,11 +134,22 @@ void rank_submodel_accuracy(const DatasetView& view,
       rows - 1);
   const std::size_t head_rows = rows - holdout;
 
+  // Row-major copies: fit() takes a view of the head rows, and
+  // predict_dist_span() takes full-width tail rows.
+  const auto row_at = [&view](std::size_t r) {
+    std::vector<int> row(view.columns());
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] = view.column(c)[r];
+    return row;
+  };
   Dataset head;
-  head.cardinality = data.cardinality;
-  head.rows.assign(data.rows.begin(),
-                   data.rows.begin() + static_cast<std::ptrdiff_t>(head_rows));
+  for (std::size_t c = 0; c < view.columns(); ++c)
+    head.cardinality.push_back(view.cardinality(c));
+  head.rows.reserve(head_rows);
+  for (std::size_t r = 0; r < head_rows; ++r) head.rows.push_back(row_at(r));
   const DatasetView head_view(head);
+  std::vector<std::vector<int>> tail;
+  tail.reserve(holdout);
+  for (std::size_t r = head_rows; r < rows; ++r) tail.push_back(row_at(r));
 
   const auto rank_one = [&](std::size_t i) {
     std::vector<std::size_t> features;
@@ -147,12 +158,16 @@ void rank_submodel_accuracy(const DatasetView& view,
       if (col != candidates[i]) features.push_back(col);
     const auto classifier = factory();
     classifier->fit(head_view, features, candidates[i]);
+    std::vector<double> scratch(classifier->label_cardinality());
     std::size_t matched = 0;
-    for (std::size_t r = head_rows; r < rows; ++r) {
-      if (classifier->predict(data.rows[r]) ==
-          data.rows[r][candidates[i]]) {
-        ++matched;
-      }
+    for (const std::vector<int>& row : tail) {
+      const std::span<const double> dist =
+          classifier->predict_dist_span(row, scratch);
+      // First maximum wins, as in Classifier::predict().
+      std::size_t best = 0;
+      for (std::size_t v = 1; v < dist.size(); ++v)
+        if (dist[v] > dist[best]) best = v;
+      if (static_cast<int>(best) == row[candidates[i]]) ++matched;
     }
     scores[i] = static_cast<double>(matched) / static_cast<double>(holdout);
   };

@@ -90,7 +90,7 @@ Status TraceCache::store(const std::string& key,
   if (Status s = write_framed_file(artifact_path(key), kMagic, payload);
       !s.ok())
     return s;
-  // Sweep temp files abandoned by *crashed* writers. The sweep is
+  // Sweep temp and claim files abandoned by *crashed* writers. The sweep is
   // pid-aware (common/atomic_file.h): a temp whose embedded writer pid is
   // still alive is never deleted, however old, so a slow concurrent store
   // can no longer lose its temp mid-write to this janitor.

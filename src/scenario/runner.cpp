@@ -14,10 +14,8 @@
 #include "exec/single_flight.h"
 #include "net/node.h"
 #include "scenario/cache.h"
-#include "scenario/checkpoint.h"
 #include "scenario/graph/builder.h"
 #include "scenario/graph/registry.h"
-#include "scenario/trace_serial.h"
 #include "sim/simulator.h"
 
 namespace xfa {
@@ -175,47 +173,19 @@ Result<ScenarioResult> simulate_with_deadline(const ScenarioConfig& config,
   return result;
 }
 
-/// The checkpoint-journal unit key for a trace (namespaced cache key).
-std::string trace_unit_key(const std::string& key) { return "trace/" + key; }
-
 /// Cache-load-or-simulate for one config, labels not yet applied. This is
 /// the section the single-flight guard protects: everything in here is a
 /// pure function of the config (retries included), so one execution serves
 /// every concurrent requester of the same key.
 Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                                         const std::string& key) {
-  // Resume path: a journaled trace unit short-circuits both the cache and
-  // the simulation. The payload is CRC-guarded at replay; the semantic
-  // validation below catches records written by older builds.
-  CheckpointJournal* journal = checkpoint_journal();
-  if (journal != nullptr) {
-    std::string payload;
-    if (journal->lookup(trace_unit_key(key), payload)) {
-      bool key_mismatch = false;
-      ScenarioResult journaled;
-      if (parse_scenario_payload(payload, key, key_mismatch, journaled) &&
-          !key_mismatch && validate_scenario_result(journaled).ok()) {
-        return journaled;
-      }
-    }
-  }
-  // Journals a finished trace so a resumed run skips the cache entirely.
-  const auto journal_trace = [journal, &key](const ScenarioResult& result) {
-    if (journal == nullptr) return;
-    std::string payload;
-    if (append_scenario_payload(payload, key, result).ok())
-      (void)journal->append(trace_unit_key(key), payload);
-  };
   // Constructed per call (cheap: reads of the env snapshot) so tests can
   // toggle XFA_NO_CACHE between scenarios via refresh_env_for_testing().
   const TraceCache cache;
   if (Result<ScenarioResult> cached = cache.load(key); cached.ok()) {
     // A checksum-valid artifact can still be semantically degenerate (stored
     // by an older build with laxer validation); treat it like a miss.
-    if (validate_scenario_result(*cached).ok()) {
-      journal_trace(*cached);
-      return std::move(*cached);
-    }
+    if (validate_scenario_result(*cached).ok()) return std::move(*cached);
   }
   // Strict cache-only mode (sharded merge): a miss here means the shard that
   // owned this unit never finished; simulating it now would silently turn a
@@ -243,7 +213,6 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
       waited_ms += kPollMs;
       if (Result<ScenarioResult> produced = cache.load(key);
           produced.ok() && validate_scenario_result(*produced).ok()) {
-        journal_trace(*produced);
         return std::move(*produced);
       }
     }
@@ -251,7 +220,6 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
     // our first cache miss and now: adopt its artifact over re-simulating.
     if (Result<ScenarioResult> produced = cache.load(key);
         produced.ok() && validate_scenario_result(*produced).ok()) {
-      journal_trace(*produced);
       return std::move(*produced);
     }
   }
@@ -293,7 +261,6 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
       // so the key still maps to exactly one trace. A failed store only
       // costs the next caller a re-simulation.
       cache.store(key, *simulated);
-      journal_trace(*simulated);
       return std::move(*simulated);
     }
     if (++degenerate_attempts > retries) break;

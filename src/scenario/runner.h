@@ -66,9 +66,9 @@ Status validate_scenario_result(const ScenarioResult& result);
 /// the trace the slow run would have), up to the same retry count. Returns
 /// kDeadlineExceeded when every attempt overran.
 ///
-/// Checkpoint integration: when a checkpoint journal is installed
-/// (scenario/checkpoint.h), completed traces are journaled and a resumed
-/// run loads them back instead of re-simulating.
+/// Resume: every finished trace is published to the trace cache before this
+/// returns, so re-running a killed process with the same XFA_CACHE_DIR
+/// loads the finished traces and simulates only the rest.
 Result<ScenarioResult> run_scenario_checked(
     const ScenarioConfig& config, LabelPolicy policy = LabelPolicy::OnsetOnwards);
 
@@ -78,10 +78,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
                             LabelPolicy policy = LabelPolicy::OnsetOnwards);
 
 /// Strict cache-only mode for sharded merges (xfa_bench --merge): while set,
-/// run_scenario_checked never simulates — a trace missing from both the
-/// checkpoint journal and the cache is a kNotFound error naming the key,
-/// meaning some shard worker has not completed. Process-wide; flip it before
-/// any plan runs.
+/// run_scenario_checked never simulates — a trace missing from the cache is
+/// a kNotFound error naming the key, meaning some shard worker has not
+/// completed. Process-wide; flip it before any plan runs.
 void set_require_cached_traces(bool require);
 bool require_cached_traces();
 

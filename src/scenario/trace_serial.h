@@ -1,7 +1,5 @@
 // Serialization of a ScenarioResult payload (the body inside the XFATRC3
-// frame), shared by the trace cache (scenario/cache.h) and the checkpoint
-// journal (scenario/checkpoint.h) so a journaled trace record and a cache
-// artifact are byte-identical for the same scenario.
+// frame) written and read by the trace cache (scenario/cache.h).
 //
 // Layout: key string, times, row count, column count, row data (doubles),
 // then the ScenarioSummary fields. Parsing is bounds-checked end to end

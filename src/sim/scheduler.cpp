@@ -10,11 +10,6 @@
 namespace xfa {
 namespace {
 
-/// Tombstones are compacted only above this heap size: tiny queues re-heapify
-/// in microseconds anyway, and the threshold keeps a schedule/cancel/schedule
-/// ping-pong from compacting on every other cancel.
-constexpr std::size_t kCompactMinEntries = 64;
-
 /// How many events run_until()/run() dispatch between cooperative deadline
 /// polls. At typical dispatch rates (millions/s) this bounds cancellation
 /// latency well under a millisecond while keeping the check off the per-event
@@ -72,23 +67,7 @@ bool Scheduler::cancel(EventId id) {
   release_slot(index);
   ++cancelled_;
   ++cancelled_pending_;
-  maybe_compact();
   return true;
-}
-
-void Scheduler::maybe_compact() {
-  // Compact when tombstones dominate: cancelled entries otherwise sit in the
-  // heap until their fire time, so a schedule-heavy workload that cancels
-  // most timers (e.g. per-packet retransmit timers) would grow the heap
-  // without bound relative to its live size.
-  if (heap_.size() < kCompactMinEntries ||
-      cancelled_pending_ * 2 <= heap_.size()) {
-    return;
-  }
-  std::erase_if(heap_, [this](const Entry& entry) { return !live(entry); });
-  rebuild_heap();
-  cancelled_pending_ = 0;
-  ++compactions_;
 }
 
 void Scheduler::sift_up(std::size_t i) {
@@ -117,12 +96,6 @@ void Scheduler::sift_down(std::size_t i) {
     i = best;
   }
   heap_[i] = entry;
-}
-
-void Scheduler::rebuild_heap() {
-  if (heap_.size() < 2) return;
-  // Floyd heapify: sift down every internal node, deepest first.
-  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
 }
 
 void Scheduler::dispatch_next() {

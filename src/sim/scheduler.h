@@ -6,8 +6,9 @@
 // push/pop — no per-event map insert/find/erase, and (for the common small
 // captures) no per-event allocation thanks to InlineFunction's inline
 // buffer. Cancellation releases the callback immediately and leaves a
-// tombstone in the heap; tombstones are compacted away when they outnumber
-// the live entries (see maybe_compact).
+// tombstone in the heap, discarded when it reaches the top. Simulations
+// cancel only timers (PeriodicTimer::stop at teardown), so tombstones never
+// pile up there and the heap is never compacted.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,9 @@ class Scheduler {
   /// High-water mark of live pending events (diagnostic; microbench).
   std::size_t peak_pending() const { return peak_pending_; }
 
-  /// Number of tombstone compaction passes run so far (diagnostic).
-  std::uint64_t compactions() const { return compactions_; }
+  /// Number of tombstone compaction passes run so far. The heap is never
+  /// compacted, so this is always 0; it stays for counter readers.
+  std::uint64_t compactions() const { return 0; }
 
  private:
   struct Slot {
@@ -101,25 +103,21 @@ class Scheduler {
 
   void release_slot(std::uint32_t index);
   void dispatch_next();
-  void maybe_compact();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void rebuild_heap();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::uint64_t compactions_ = 0;
   std::size_t cancelled_pending_ = 0;
   std::size_t peak_pending_ = 0;
   // 4-ary min-heap of pending entries in a plain vector (root = heap_[0],
-  // children of i at 4i+1..4i+4), so compaction can filter tombstones in
-  // place. Quaternary beats binary here because pops dominate (every event
-  // is pushed once and popped once, and pushes into a deep heap are cheap
-  // for monotonically increasing times): half the tree depth means half the
-  // cache lines touched per sift-down, at the price of three extra same-line
-  // comparisons per level.
+  // children of i at 4i+1..4i+4). Quaternary beats binary here because pops
+  // dominate (every event is pushed once and popped once, and pushes into a
+  // deep heap are cheap for monotonically increasing times): half the tree
+  // depth means half the cache lines touched per sift-down, at the price of
+  // three extra same-line comparisons per level.
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

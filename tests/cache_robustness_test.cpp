@@ -347,6 +347,19 @@ TEST_F(CacheRobustnessTest, SweepSparesYoungUnparseableTempNames) {
   EXPECT_TRUE(std::filesystem::exists(legacy));
 }
 
+TEST_F(CacheRobustnessTest, SweepReapsDeadHoldersClaimButSparesLiveOne) {
+  // A producer killed after publishing but before releasing its claim leaves
+  // a claim on a key that is a cache hit from then on, so no claimant ever
+  // contends it again: the sweep is what reaps it.
+  const std::string dead = dir_ + "/published.trc.claim";
+  const std::string live = dir_ + "/in_progress.trc.claim";
+  write_file(dead, std::to_string(kDeadPid));
+  write_file(live, std::to_string(::getpid()));
+  sweep_stale_temps(dir_);
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  EXPECT_TRUE(std::filesystem::exists(live));
+}
+
 TEST_F(CacheRobustnessTest, StoreSweepsDeadTempButSparesLiveOne) {
   // The integration path: TraceCache::store runs the sweep as a side effect.
   const std::string stale =

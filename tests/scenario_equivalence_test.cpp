@@ -3,7 +3,7 @@
 // instead loaded from an examples/scenarios/*.scn file — same RNG stream
 // assignment, same construction order — at pool sizes 1 and 8. Identity is
 // checked on the serialized trace payload (scenario/trace_serial.h), the
-// same bytes the cache and the checkpoint journal persist.
+// same bytes the trace cache persists.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

@@ -76,7 +76,6 @@ TEST(DatasetViewTest, ColumnsMirrorRowMajorSource) {
   const DatasetView view(data);
   ASSERT_EQ(view.rows(), data.rows.size());
   ASSERT_EQ(view.columns(), data.columns());
-  EXPECT_EQ(&view.source(), &data);
   int max_card = 0;
   for (std::size_t c = 0; c < view.columns(); ++c) {
     EXPECT_EQ(view.cardinality(c), data.cardinality[c]);

@@ -1,5 +1,5 @@
 // Sharded-sweep harness: drives the real xfa_bench binary as subprocesses
-// (like crash_resume_test) to prove the --shard=K/N / --merge contract:
+// (like kill_rerun_test) to prove the --shard=K/N / --merge contract:
 // every distinct trace unit lands in exactly one shard for several K/N
 // splits, the merged output is byte-identical to the unsharded run at both
 // ends of the thread spectrum, a merge over an incomplete cache fails
